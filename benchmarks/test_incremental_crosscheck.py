@@ -3,8 +3,9 @@
 The legacy Phase 2b pays one SAT backend rebuild per pair query: every query
 re-simplifies, re-bit-blasts and re-solves both group conditions from
 scratch.  The incremental engine builds ONE backend per test, encodes each
-group condition once behind an activation literal, and answers every pair
-query as ``solve(assumptions=[act_i, act_j])`` on the shared instance.
+group condition once behind an activation literal, and lists the cells each
+A group meets by partition intersection on the shared instance: one solve
+per non-empty cell plus one per A group, not one per pair.
 
 This bench runs the same campaign in both modes, asserts the inconsistency
 sets are identical and that the incremental engine rebuilds strictly fewer
@@ -80,7 +81,14 @@ def test_incremental_crosscheck_backend_reuse(run_once):
 
     # Identical inconsistency sets: the fast path changes no verdict.
     assert _inconsistency_sets(incremental) == _inconsistency_sets(legacy)
-    assert incremental.total_queries == legacy.total_queries
+    # The legacy matrix asks every pair of differing outputs; the
+    # incremental engine solves once per non-empty cell plus once per A
+    # group, and answers A groups it has already intersected from its cache.
+    assert legacy.total_queries == 213
+    assert incremental.total_queries == 37
+    assert incremental.total_queries == (
+        incremental.solver_stats["intersection_solves"]
+        + incremental.solver_stats["pair_cache_hits"])
 
     # Strictly fewer backend rebuilds than pair-count x 1: one engine per
     # test, each group condition encoded once per test.
@@ -95,6 +103,7 @@ def test_incremental_crosscheck_backend_reuse(run_once):
         "tests": list(TESTS),
         "pair_reports": incremental.pair_count,
         "solver_queries": incremental.total_queries,
+        "legacy_solver_queries": legacy.total_queries,
         "inconsistencies": incremental.total_inconsistencies,
         "identical_inconsistency_sets": True,
         "incremental": {
@@ -102,8 +111,10 @@ def test_incremental_crosscheck_backend_reuse(run_once):
             "groups_encoded": incremental.solver_stats["groups_encoded"],
             "encoding_reuses": incremental.solver_stats["encoding_reuses"],
             "assumption_solves": incremental.solver_stats["assumption_solves"],
-            "interval_decides": incremental.solver_stats["interval_decides"],
             "pair_cache_hits": incremental.solver_stats["pair_cache_hits"],
+            "intersection_solves": incremental.solver_stats["intersection_solves"],
+            "cells": incremental.solver_stats["cells"],
+            "fallbacks": incremental.solver_stats["fallbacks"],
             "crosscheck_wall_clock": incremental_check,
             "campaign_wall_clock": incremental_wall,
         },

@@ -460,12 +460,13 @@ class CampaignReport:
         if stats.get("mode") == "incremental":
             lines.append(
                 "  phase 2b: incremental: %d engine(s), %d group(s) encoded "
-                "(%d reused), %d assumption solve(s), %d interval decide(s), "
-                "%d backend rebuild(s)"
+                "(%d reused), %d intersection solve(s) found %d cell(s), "
+                "%d fallback(s), %d assumption solve(s), %d backend rebuild(s)"
                 % (stats.get("engines", 0), stats.get("groups_encoded", 0),
                    stats.get("encoding_reuses", 0),
+                   stats.get("intersection_solves", 0), stats.get("cells", 0),
+                   stats.get("fallbacks", 0),
                    stats.get("assumption_solves", 0),
-                   stats.get("interval_decides", 0),
                    stats.get("backend_rebuilds", 0)))
         elif stats.get("mode") == "legacy":
             lines.append(

@@ -1,25 +1,35 @@
 """Phase 2b: the inconsistency finder.
 
 For two agents A and B, and for every pair of *different* grouped outputs
-``(i, j)``, the constraint solver is asked whether ``C_A(i) AND C_B(j)`` is
-satisfiable.  A model is a concrete input on which the two agents diverge —
-an inconsistency — and is reported together with both output traces so a
-human can judge which (if either) implementation violates the specification.
+``(i, j)``, the question is whether ``C_A(i) AND C_B(j)`` is satisfiable.  A
+model is a concrete input on which the two agents diverge — an inconsistency
+— and is reported together with both output traces so a human can judge
+which (if either) implementation violates the specification.
 
-The number of solver queries is bounded by ``|RES_A| * |RES_B|`` (§3.4); the
-grouping stage has already collapsed thousands of paths into tens of outputs,
-which is what makes this stage cheap.  Two solving modes exist:
+The paper asks the solver about every pair, so its cost is bounded by
+``|RES_A| * |RES_B|`` queries (§3.4).  Two solving modes exist:
 
 * **incremental** (the default): a shared
   :class:`~repro.symbex.solver.incremental.GroupEncoding` bit-blasts each
-  group condition exactly once behind an activation literal, and every pair
-  query re-solves the same SAT instance under the pair's two assumptions.
-  Pass ``engine=`` to share the encoding across several pair reports of the
-  same test (what :class:`~repro.core.campaign.Campaign` does).
-* **legacy**: pass ``solver=`` (or ``incremental=False``) to re-simplify,
-  re-bit-blast and re-solve every pair from scratch through a
-  :class:`~repro.symbex.solver.Solver` — the reference implementation the
-  incremental engine is equivalence-tested against.
+  group condition exactly once behind an activation literal and crosschecks
+  by *partition intersection*.  B's groups partition the inputs B explored,
+  so for each A group it lists the B groups that group meets: one solve
+  finds a model, the model's B group is the next non-empty cell, that group
+  is blocked, and the loop ends at the first UNSAT.  The bound becomes
+  ``cells + |RES_A|`` solves, where ``cells`` is the number of non-empty
+  (A group, B group) intersections — on real tests almost every pair is
+  UNSAT, so this is far below ``|RES_A| * |RES_B|``.  Pass ``engine=`` to
+  share the encoding across several pair reports of the same test (what
+  :class:`~repro.core.campaign.Campaign` does).
+* **legacy**: pass ``solver=`` (or ``incremental=False``) to ask every pair
+  from scratch through a :class:`~repro.symbex.solver.Solver`, re-simplifying
+  and re-bit-blasting both conditions per query — the paper's pair matrix,
+  and the reference implementation the incremental engine is
+  equivalence-tested against.
+
+On the incremental path ``queries`` counts solves (plus per-pair fallback
+queries and A groups answered wholly from the engine's pair cache); on the
+legacy path it counts pair queries.  ``max_pairs`` and ``deadline`` cap that count.
 """
 
 from __future__ import annotations
@@ -32,7 +42,8 @@ from repro.core.grouping import GroupedResults, OutputGroup
 from repro.core.trace import OutputTrace
 from repro.errors import CrosscheckError
 from repro.symbex.expr import BoolExpr, bool_and
-from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
+from repro.symbex.solver import (GroupEncoding, Intersection, SatResult, Solver,
+                                 SolverConfig)
 
 __all__ = ["Inconsistency", "CrosscheckReport", "find_inconsistencies"]
 
@@ -128,13 +139,14 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
                          ) -> CrosscheckReport:
     """Crosscheck two agents' grouped results for one test specification.
 
-    *max_pairs* caps the number of solver queries **globally** across the
-    whole pair matrix; a truncated scan is flagged in the report.
+    *max_pairs* caps the number of queries (solves on the incremental path,
+    pair queries on the legacy one) **globally** across the whole scan; a
+    truncated scan is flagged in the report.
 
     *deadline* is an absolute time on *clock* (default
     ``time.perf_counter``): once reached, the scan stops before the next
-    solver query and the report is flagged ``truncated``, like a
-    *max_pairs* cutoff.  Callers with query caches (the hybrid scheduler)
+    query and the report is flagged ``truncated``, like a *max_pairs*
+    cutoff.  Callers with query caches (the hybrid scheduler)
     simply re-scan on the next slice — already-solved pairs are cheap.
 
     Mode selection: an explicit *engine* drives the incremental path on that
@@ -167,54 +179,72 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
     unknown_pairs = 0
     identical = 0
     truncated = False
-    via_counts = {"trivial": 0, "interval": 0, "assumption": 0, "pair-cache": 0}
 
-    for group_a in grouped_a.groups:
-        if truncated:
-            break
-        for group_b in grouped_b.groups:
-            if group_a.trace == group_b.trace:
-                identical += 1
-                continue
-            if max_pairs is not None and queries >= max_pairs:
-                truncated = True
-                break
-            if deadline is not None and clock() >= deadline:
-                truncated = True
-                break
-            queries += 1
-            query_started = time.perf_counter()
-            if use_incremental:
-                outcome = engine.check_pair(group_a.condition, group_b.condition)
-                result = outcome.result
-                via_counts[outcome.via] += 1
-            else:
-                result = solver.check([group_a.condition, group_b.condition])
-            elapsed = time.perf_counter() - query_started
-            if result.is_sat:
-                inconsistencies.append(Inconsistency(
-                    agent_a=grouped_a.agent_name,
-                    agent_b=grouped_b.agent_name,
-                    trace_a=group_a.trace,
-                    trace_b=group_b.trace,
-                    condition=bool_and(group_a.condition, group_b.condition),
-                    example=dict(result.model),
-                    solver_time=elapsed,
-                ))
-            elif result.is_unsat:
-                unsat_pairs += 1
-            else:
-                unknown_pairs += 1
+    def admit() -> bool:
+        """Count one more query unless a cap stops the scan first."""
+
+        nonlocal queries, truncated
+        if ((max_pairs is not None and queries >= max_pairs)
+                or (deadline is not None and clock() >= deadline)):
+            truncated = True
+            return False
+        queries += 1
+        return True
+
+    def record(group_a: OutputGroup, group_b: OutputGroup, result: SatResult,
+               elapsed: float) -> None:
+        nonlocal unsat_pairs, unknown_pairs
+        if result.is_sat:
+            inconsistencies.append(Inconsistency(
+                agent_a=grouped_a.agent_name,
+                agent_b=grouped_b.agent_name,
+                trace_a=group_a.trace,
+                trace_b=group_b.trace,
+                condition=bool_and(group_a.condition, group_b.condition),
+                example=dict(result.model),
+                solver_time=elapsed,
+            ))
+        elif result.is_unsat:
+            unsat_pairs += 1
+        else:
+            unknown_pairs += 1
 
     if use_incremental:
-        solver_stats: Dict[str, object] = {
-            "mode": "incremental",
-            "trivial": via_counts["trivial"],
-            "interval_decides": via_counts["interval"],
-            "assumption_solves": via_counts["assumption"],
-            "pair_cache_hits": via_counts["pair-cache"],
-            "engine": engine.stats_dict(),
-        }
+        counts = Intersection().counts  # zeroed, so every key is reported
+        conditions_b = [group.condition for group in grouped_b.groups]
+        by_trace: Dict[OutputTrace, List[int]] = {}
+        for index, group_b in enumerate(grouped_b.groups):
+            by_trace.setdefault(group_b.trace, []).append(index)
+        for group_a in grouped_a.groups:
+            same = by_trace.get(group_a.trace, ())
+            identical += len(same)
+            intersection = engine.intersect(group_a.condition, conditions_b,
+                                            skip=frozenset(same), may_solve=admit)
+            for name, value in intersection.counts.items():
+                counts[name] += value
+            for index, result in intersection.results.items():
+                record(group_a, grouped_b.groups[index], result, result.time)
+            if intersection.truncated:
+                break
+    else:
+        for group_a in grouped_a.groups:
+            if truncated:
+                break
+            for group_b in grouped_b.groups:
+                if group_a.trace == group_b.trace:
+                    identical += 1
+                    continue
+                if not admit():
+                    break
+                query_started = time.perf_counter()
+                result = solver.check([group_a.condition, group_b.condition])
+                record(group_a, group_b, result,
+                       time.perf_counter() - query_started)
+
+    if use_incremental:
+        solver_stats: Dict[str, object] = {"mode": "incremental"}
+        solver_stats.update(counts)
+        solver_stats["engine"] = engine.stats_dict()
     else:
         solver_stats = {"mode": "legacy"}
         solver_stats.update(solver.stats_dict())

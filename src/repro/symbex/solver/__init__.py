@@ -38,7 +38,8 @@ from repro.symbex.solver.solver import (
     SolverStats,
     merge_stat_dicts,
 )
-from repro.symbex.solver.incremental import GroupEncoding, IncrementalStats, PairOutcome
+from repro.symbex.solver.incremental import (GroupEncoding, IncrementalStats,
+                                             Intersection, PairOutcome)
 from repro.symbex.solver.oracle import PrefixOracle, PrefixOracleStats
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "SolverConfig",
     "SolverStats",
     "GroupEncoding",
+    "Intersection",
     "IncrementalStats",
     "PairOutcome",
     "PrefixOracle",

@@ -26,7 +26,8 @@ without touching the clause database.  Learned clauses and variable
 activities persist across calls, which is what makes re-querying the same
 instance (the crosscheck engine's ``solve under {act_i, act_j}`` pattern)
 much cheaper than rebuilding it.  The conflict budget is per *call*, not per
-instance lifetime.
+instance lifetime.  The model of a SAT answer can be read only until the
+instance changes: any later clause, variable or backtrack invalidates it.
 
 Literals use the DIMACS convention: variable ``v`` (a positive integer) has the
 positive literal ``v`` and the negative literal ``-v``.
@@ -40,6 +41,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import SolverError
 
 __all__ = ["SATSolver", "SATStatus"]
+
+_STALE_MODEL = ("model invalidated: the last solve did not answer SAT, or a "
+                "variable or clause was added or the trail backtracked since")
 
 
 class SATStatus:
@@ -112,6 +116,9 @@ class SATSolver:
         self._cla_decay = 0.999
         self._learned_limit = self.learned_db_base
         self._root_conflict = False
+        # True only between a SAT answer and the next change to the trail,
+        # the variables or the clauses: the assignment is the model only then.
+        self._model_valid = False
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -128,6 +135,7 @@ class SATSolver:
     def new_var(self) -> int:
         """Allocate and return a fresh variable (a positive integer)."""
 
+        self._model_valid = False
         self._num_vars += 1
         self._assignment.append(None)
         self._level.append(0)
@@ -152,6 +160,7 @@ class SATSolver:
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially UNSAT."""
 
+        self._model_valid = False
         if self._trail_lim:
             # Clauses may arrive between queries (incremental use); watched
             # literals must be chosen against the root-level state only.
@@ -396,6 +405,7 @@ class SATSolver:
     def _backtrack(self, level: int) -> None:
         if self._decision_level() <= level:
             return
+        self._model_valid = False
         boundary = self._trail_lim[level]
         assignment = self._assignment
         reason = self._reason
@@ -508,6 +518,7 @@ class SATSolver:
         """
 
         self.solves += 1
+        self._model_valid = False
         if self._root_conflict:
             return SATStatus.UNSAT
 
@@ -616,6 +627,7 @@ class SATSolver:
                     return SATStatus.UNKNOWN
                 var = self._pick_branch_variable()
                 if var is None:
+                    self._model_valid = True
                     return SATStatus.SAT
                 self.decisions += 1
                 self._trail_lim.append(len(self._trail))
@@ -627,14 +639,27 @@ class SATSolver:
     # ------------------------------------------------------------------
 
     def model_value(self, var: int) -> bool:
-        """Value of *var* in the satisfying assignment (False if unassigned)."""
+        """Value of *var* in the satisfying assignment of the last solve.
 
-        value = self._assignment[var]
-        return bool(value)
+        Raises :class:`SolverError` when there is no current model (see
+        :meth:`model`).
+        """
+
+        if not self._model_valid:
+            raise SolverError(_STALE_MODEL)
+        return bool(self._assignment[var])
 
     def model(self) -> Dict[int, bool]:
-        """Return the full satisfying assignment as ``{var: bool}``."""
+        """Return the full satisfying assignment as ``{var: bool}``.
 
+        The assignment is a model only right after :meth:`solve` answered
+        SAT: adding a variable or a clause backtracks or extends it, after
+        which a read would silently return values that violate the formula,
+        so it raises :class:`SolverError` instead.
+        """
+
+        if not self._model_valid:
+            raise SolverError(_STALE_MODEL)
         return {
             var: bool(self._assignment[var])
             for var in range(1, self._num_vars + 1)

@@ -67,7 +67,8 @@ class SolverConfig:
 
     #: Maximum number of CDCL conflicts per query before giving up (None = unlimited).
     max_conflicts: Optional[int] = 200_000
-    #: Whether to run the interval pre-check before bit-blasting.
+    #: Whether :class:`Solver` runs the interval pre-check before bit-blasting
+    #: (the incremental ``GroupEncoding`` has none).
     use_interval_precheck: bool = True
     #: Whether to cache query results keyed on constraint structure.
     use_cache: bool = True

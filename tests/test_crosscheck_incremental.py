@@ -1,8 +1,9 @@
 """Tests of the incremental crosscheck engine and the max_pairs cap.
 
-The incremental path (shared SAT instance + activation literals) must report
-the exact same inconsistency set as the legacy per-query path — the legacy
-path is the reference implementation, the incremental one the fast path.
+The incremental path (shared SAT instance, partition intersection) must
+report the exact same inconsistency set as the legacy pair matrix — the
+legacy path is the reference implementation, the incremental one the fast
+path.
 """
 
 import itertools
@@ -13,10 +14,12 @@ from repro.core.campaign import Campaign, EncodingCache
 from repro.core.crosscheck import find_inconsistencies
 from repro.core.explorer import explore_agent
 from repro.core.grouping import GroupedResults, OutputGroup, group_paths
-from repro.core.tests_catalog import get_test
+from repro.core.tests_catalog import catalog, get_test
 from repro.core.trace import OutputTrace
 from repro.errors import CrosscheckError, SolverError
+from repro.symbex.engine import EngineConfig
 from repro.symbex.expr import bvvar
+from repro.symbex.simplify import evaluate_bool
 from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
 
 AGENTS = ("reference", "ovs", "modified")
@@ -73,7 +76,7 @@ def test_group_encoding_pair_queries_and_cache():
 
 
 def test_group_encoding_unknown_is_not_pair_cached():
-    engine = GroupEncoding(SolverConfig(max_conflicts=0, use_interval_precheck=False))
+    engine = GroupEncoding(SolverConfig(max_conflicts=0))
     x = bvvar("x", 8)
     from repro.symbex.expr import bool_or
 
@@ -129,8 +132,12 @@ def test_find_inconsistencies_rejects_conflicting_modes():
 def test_max_pairs_cap_is_global_across_the_pair_matrix():
     grouped_a = _synthetic_grouped("a", [1, 2, 3], "a-out")
     grouped_b = _synthetic_grouped("b", [1, 2, 3], "b-out")
-    # 9 candidate pairs (all traces differ); the cap must bound the total.
-    for mode in ("incremental", "legacy"):
+    # 9 candidate pairs (all traces differ).  The legacy matrix asks all 9.
+    # The intersection solves twice for x==1 and x==2 (the cell, then
+    # UNSAT).  A and B share the terms x==v, so the answers for (x==1, x==3)
+    # and (x==2, x==3) already cover x==3's pairs with x==1 and x==2: one
+    # solve finds its last cell.  The cap bounds the total either way.
+    for mode, full_queries in (("incremental", 5), ("legacy", 9)):
         kwargs = {} if mode == "incremental" else {"solver": Solver(SolverConfig())}
         report = find_inconsistencies(grouped_a, grouped_b, max_pairs=4, **kwargs)
         assert report.queries == 4
@@ -138,10 +145,11 @@ def test_max_pairs_cap_is_global_across_the_pair_matrix():
         full = find_inconsistencies(grouped_a, grouped_b,
                                     **({} if mode == "incremental"
                                        else {"solver": Solver(SolverConfig())}))
-        assert full.queries == 9
+        assert full.queries == full_queries
         assert full.truncated is False
         # x==i AND x==j is satisfiable exactly when i == j.
         assert full.inconsistency_count == 3
+        assert full.unsat_pairs == 6
 
 
 def test_max_pairs_zero_queries_nothing():
@@ -170,15 +178,15 @@ def test_deadline_truncates_the_pair_scan():
                                    clock=TickClock())
     assert expired.queries == 0
     assert expired.truncated is True
-    # Deadline after a few ticks: the scan stops partway, flagged truncated,
-    # instead of solving all 9 candidate pairs.
+    # Deadline after three ticks: three solves run, the fourth is refused,
+    # instead of running all 5.
     partial = find_inconsistencies(grouped_a, grouped_b, deadline=3.5,
                                    clock=TickClock())
     assert partial.truncated is True
-    assert 0 < partial.queries < 9
+    assert partial.queries == 3
     # No deadline: the injected clock is never consulted.
     full = find_inconsistencies(grouped_a, grouped_b)
-    assert full.queries == 9
+    assert full.queries == 5
     assert full.truncated is False
 
 
@@ -197,7 +205,16 @@ def test_incremental_matches_legacy_on_seed_catalog():
             incremental = find_inconsistencies(grouped[agent_a], grouped[agent_b],
                                                engine=engine)
             assert _trace_pairs(incremental) == _trace_pairs(legacy)
-            assert incremental.queries == legacy.queries
+            # One solve per non-empty cell plus one per A group, at most;
+            # an A group whose pairs earlier answers already cover (agents
+            # share many group conditions) is answered from the cache.
+            counts = incremental.solver_stats
+            assert counts["fallbacks"] == 0
+            assert incremental.queries == (counts["intersection_solves"]
+                                           + counts["pair_cache_hits"])
+            assert counts["intersection_solves"] <= (
+                counts["cells"] + len(grouped[agent_a].groups))
+            assert incremental.queries <= legacy.queries
             assert incremental.unsat_pairs == legacy.unsat_pairs
             assert incremental.unknown_pairs == legacy.unknown_pairs
             assert incremental.solver_stats["mode"] == "incremental"
@@ -211,6 +228,79 @@ def test_incremental_matches_legacy_on_seed_catalog():
         stats = engine.stats_dict()
         assert stats["backend_rebuilds"] == 1
         assert stats["encoding_reuses"] > 0
+
+
+def _assert_matches_matrix(grouped_a, grouped_b, legacy_solver, engine):
+    """The intersection answers every pair exactly like the legacy matrix."""
+
+    legacy = find_inconsistencies(grouped_a, grouped_b, solver=legacy_solver)
+    incremental = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    assert _trace_pairs(incremental) == _trace_pairs(legacy)
+    assert incremental.unsat_pairs == legacy.unsat_pairs
+    assert incremental.unknown_pairs == legacy.unknown_pairs == 0
+    for inconsistency in incremental.inconsistencies:
+        assert evaluate_bool(inconsistency.condition, inconsistency.example)
+    return incremental
+
+
+@pytest.mark.parametrize("test", sorted(key for key in catalog()
+                                        if key != "packet_out"))
+def test_intersection_matches_legacy_matrix_on_catalog(test):
+    # packet_out is left out: its legacy matrix alone takes about a minute.
+    grouped = {agent: group_paths(explore_agent(agent, test)) for agent in AGENTS}
+    # One legacy solver per test: its query cache answers the mirrored
+    # orientation of a pair without solving it again.  A fresh engine per
+    # orientation, so each one runs the intersection loop itself.
+    legacy_solver = Solver(SolverConfig())
+    for agent_a, agent_b in itertools.permutations(AGENTS, 2):
+        _assert_matches_matrix(grouped[agent_a], grouped[agent_b],
+                               legacy_solver, GroupEncoding())
+
+
+def test_intersection_falls_back_when_b_groups_do_not_cover_a():
+    # A path-capped ovs exploration leaves inputs in none of its groups, so
+    # models of reference groups land outside every ovs group.
+    full = group_paths(explore_agent("reference", "stats_request"))
+    cut = group_paths(explore_agent("ovs", "stats_request",
+                                    engine_config=EngineConfig(max_paths=3)))
+    assert cut.total_paths == 3
+    legacy_solver = Solver(SolverConfig())
+    engine = GroupEncoding()
+    report = _assert_matches_matrix(full, cut, legacy_solver, engine)
+    assert report.solver_stats["fallbacks"] > 0
+    assert engine.stats.fallbacks == report.solver_stats["fallbacks"]
+    # The other orientation: the full side's groups cover the truncated one.
+    mirrored = _assert_matches_matrix(cut, full, legacy_solver, GroupEncoding())
+    assert mirrored.solver_stats["fallbacks"] == 0
+    assert mirrored.solver_stats["intersection_solves"] > 0
+
+
+def test_intersection_unknown_falls_back_to_pair_queries():
+    grouped_a = group_paths(explore_agent("reference", "stats_request"))
+    grouped_b = group_paths(explore_agent("ovs", "stats_request"))
+    legacy = find_inconsistencies(grouped_a, grouped_b,
+                                  solver=Solver(SolverConfig()))
+    # A zero conflict budget makes intersection solves answer UNKNOWN; the
+    # A group's open pairs then go to per-pair queries under the same budget.
+    report = find_inconsistencies(
+        grouped_a, grouped_b,
+        engine=GroupEncoding(SolverConfig(max_conflicts=0)))
+    counts = report.solver_stats
+    assert counts["fallbacks"] > 0
+    assert counts["engine"]["unknown"] > 0
+    assert counts["engine"]["assumption_solves"] > 0
+    assert report.queries == (counts["intersection_solves"]
+                              + counts["engine"]["assumption_solves"])
+    # Every candidate pair is answered once; no verdict contradicts the
+    # full-budget matrix.
+    candidates = (len(grouped_a.groups) * len(grouped_b.groups)
+                  - report.identical_output_pairs)
+    assert (report.inconsistency_count + report.unsat_pairs
+            + report.unknown_pairs) == candidates
+    assert _trace_pairs(report) <= _trace_pairs(legacy)
+    assert report.unsat_pairs <= legacy.unsat_pairs
+    for inconsistency in report.inconsistencies:
+        assert evaluate_bool(inconsistency.condition, inconsistency.example)
 
 
 # ---------------------------------------------------------------------------

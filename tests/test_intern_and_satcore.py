@@ -5,7 +5,8 @@ yield pointer-identical terms; generations survive a table reset), the
 bounded simplify memo, and the SAT solver's incremental edge cases: budget
 exhaustion followed by a successful re-solve, conflicting assumptions leaving
 the trail clean, clause addition after restarts, determinism across restart
-schedules, and learned-clause DB reduction.
+schedules, learned-clause DB reduction, and model reads refused once the
+instance has changed since the SAT answer.
 """
 
 import pickle
@@ -30,6 +31,7 @@ from repro.symbex.expr import (
     structurally_equal,
     zero_extend,
 )
+from repro.errors import SolverError
 from repro.symbex.serialize import expr_from_obj, expr_to_obj
 from repro.symbex.simplify import (
     clear_simplify_cache,
@@ -38,6 +40,7 @@ from repro.symbex.simplify import (
     simplify_cache_stats,
 )
 from repro.symbex.solver import SATSolver, SATStatus
+from repro.symbex.solver.backends import make_backend
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,44 @@ def test_sat_assumption_prefix_reuse_is_sound():
     assert solver.solve(assumptions=[a, b]) == SATStatus.SAT
     assert solver.model_value(c) is True
     assert solver.solve() == SATStatus.SAT
+
+
+def test_sat_model_reads_raise_once_the_instance_changes():
+    solver = SATSolver()
+    a, b = solver.new_var(), solver.new_var()
+    solver.add_clause([a, b])
+    with pytest.raises(SolverError, match="model invalidated"):
+        solver.model_value(a)  # nothing solved yet
+    assert solver.solve(assumptions=[-a]) == SATStatus.SAT
+    assert solver.model() == {a: False, b: True}
+    # The new clause backtracks the trail; reading the old assignment would
+    # report a = False, which now violates the formula.
+    solver.add_clause([-b, a])
+    with pytest.raises(SolverError, match="model invalidated"):
+        solver.model_value(a)
+    with pytest.raises(SolverError, match="model invalidated"):
+        solver.model()
+    assert solver.solve() == SATStatus.SAT
+    assert solver.model_value(a) is True
+    c = solver.new_var()  # unassigned: it would read as False
+    with pytest.raises(SolverError, match="model invalidated"):
+        solver.model_value(c)
+    assert solver.solve(assumptions=[-a]) == SATStatus.UNSAT
+    with pytest.raises(SolverError, match="model invalidated"):
+        solver.model_value(a)
+
+
+def test_backend_get_value_raises_after_declare():
+    backend = make_backend("cdcl")
+    x = bvvar("x", 8)
+    backend.assert_formula(x > 3)
+    assert backend.check_sat() == SATStatus.SAT
+    assert backend.get_value()["x"] > 3
+    backend.declare(x == 9)  # new gate variables and clauses
+    with pytest.raises(SolverError, match="model invalidated"):
+        backend.get_value()
+    assert backend.check_sat() == SATStatus.SAT
+    assert backend.get_value()["x"] > 3
 
 
 def test_sat_clause_addition_after_restart():
